@@ -215,8 +215,12 @@ impl Curiosity for SpatialCuriosity {
             }
             let dim = self.features[mi].dim();
             let b = rows.len();
-            let pairs: Vec<usize> = rows.iter().map(|s| s.pair).collect();
-            let mut targets = Vec::with_capacity(b * dim);
+            // Both buffers come from the tensor arena: the graph returns
+            // them there when it drops, and a buffer that was never taken
+            // from it would grow the freelists by one every call.
+            let mut pairs = vc_nn::arena::take_usize(b);
+            pairs.extend(rows.iter().map(|s| s.pair));
+            let mut targets = vc_nn::arena::take_f32(b * dim);
             for s in &rows {
                 targets.extend_from_slice(&s.next_feat);
             }

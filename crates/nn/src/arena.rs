@@ -4,10 +4,11 @@
 //! Training builds and drops one autograd tape per minibatch, so the same
 //! buffer sizes recur every step. Instead of round-tripping each activation
 //! and gradient through the global allocator, freed buffers park in a
-//! per-thread freelist and are handed back out by best-fit capacity: after
-//! the first step warms the lists, steady-state forward/backward performs
-//! zero heap allocation inside the graph (pinned by the counting-allocator
-//! test in `crates/nn/tests/arena_alloc.rs`).
+//! per-thread freelist and are handed back out by best-fit capacity (at
+//! most `MAX_SLACK`× the request, so small takes never strand large
+//! buffers): after the first step warms the lists, steady-state
+//! forward/backward performs zero heap allocation inside the graph (pinned
+//! by the counting-allocator test in `crates/nn/tests/arena_alloc.rs`).
 //!
 //! ## Ownership rules
 //!
@@ -50,6 +51,10 @@ const MAX_HELD_BYTES: usize = 256 << 20;
 const MAX_BUFFERS: usize = 2;
 #[cfg(loom)]
 const MAX_HELD_BYTES: usize = 64;
+
+/// A parked buffer serves a request only if its capacity is at most this
+/// many times the requested capacity.
+const MAX_SLACK: usize = 2;
 
 // ordering: HITS/MISSES are monotonic telemetry counters; HELD_BYTES is a
 // sum of per-thread deltas where each thread only ever undoes its own
@@ -97,8 +102,12 @@ impl<T> Shelf<T> {
         Self { free: Vec::new(), held_bytes: 0 }
     }
 
-    /// Best-fit take: the smallest parked buffer with capacity ≥ `min_cap`,
-    /// or a fresh allocation on miss.
+    /// Best-fit take: the smallest parked buffer with capacity in
+    /// `min_cap..=MAX_SLACK·min_cap`, or a fresh allocation on miss. The
+    /// upper bound keeps small requests off large buffers: a 4-float take
+    /// that walks off with an 800 KiB packed-panel buffer makes the next
+    /// panel request miss and allocate another, and parked bytes grow
+    /// without bound.
     fn take(&mut self, min_cap: usize) -> Vec<T> {
         if min_cap == 0 {
             // Don't burn a parked buffer (or a counter tick) on an empty
@@ -106,7 +115,7 @@ impl<T> Shelf<T> {
             return Vec::new();
         }
         let idx = self.free.partition_point(|v| v.capacity() < min_cap);
-        if idx < self.free.len() {
+        if idx < self.free.len() && self.free[idx].capacity() <= min_cap.saturating_mul(MAX_SLACK) {
             let v = self.free.remove(idx);
             self.held_bytes -= v.capacity() * size_of::<T>();
             // ordering: telemetry counters (see statics); each thread only
@@ -228,6 +237,21 @@ mod tests {
         assert!(got.capacity() < big_cap, "best-fit must skip the large buffer");
         let got_big = take_f32(9_000);
         assert!(got_big.capacity() >= 9_000);
+    }
+
+    #[test]
+    fn small_request_does_not_take_a_much_larger_buffer() {
+        // Best fit is bounded: a buffer more than MAX_SLACK× the request
+        // stays parked for a request it fits, and the small request misses.
+        let mut big = take_f32(1 << 16);
+        big.resize(1 << 16, 0.0);
+        let big_ptr = big.as_ptr();
+        put_f32(big);
+        let small = take_f32(4);
+        assert!(small.capacity() < 1 << 16, "a 4-float take consumed a 64 Ki-float buffer");
+        // Within the slack the parked buffer is reused.
+        let reused = take_f32((1 << 16) / MAX_SLACK);
+        assert_eq!(reused.as_ptr(), big_ptr, "request within the slack must reuse the buffer");
     }
 
     #[test]

@@ -704,8 +704,13 @@ impl Graph {
                     let x = node.parents[0];
                     let w = node.parents[1];
                     let b = node.parents[2];
-                    let g = conv2d_backward(&gout, cols, self.value(w), self.value(x).shape(), cfg);
-                    send(&mut grads, x, g.gx);
+                    // An input nobody differentiates (the state leaf under
+                    // `backward`) gets no gradient, so skip computing it.
+                    let x_shape = self.value(x).shape();
+                    let g = conv2d_backward(&gout, cols, self.value(w), x_shape, cfg, relevant(x));
+                    if let Some(gx) = g.gx {
+                        send(&mut grads, x, gx);
+                    }
                     send(&mut grads, w, g.gw);
                     send(&mut grads, b, g.gb);
                 }

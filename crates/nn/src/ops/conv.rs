@@ -13,7 +13,13 @@
 //! `[C_out, C_in*KH*KW]` — one GEMM per layer instead of one per batch
 //! item, with no intermediate copies of the column buffer. The column
 //! matrix is saved in the graph node so the backward pass is two more
-//! whole-batch GEMMs plus a `col2im` scatter.
+//! whole-batch GEMMs plus a `col2im` scatter (one GEMM when the input
+//! gradient is not needed).
+//!
+//! The fill and the scatter are driven by a per-call tap table mapping each
+//! `(ky, kx, oy, ox)` to an input offset within one channel plane, with
+//! padding taps marked out of range: the per-element work is one gather (or
+//! one add), with no coordinate arithmetic or border branches.
 //!
 //! The im2col fill, the bias/scatter epilogue and the col2im scatter run
 //! sequentially through [`crate::ops::gemm::par_items`]: the fills are
@@ -56,6 +62,61 @@ impl ConvCfg {
     }
 }
 
+/// Marks a padding tap in a [`TapTable`]: an offset no channel plane
+/// contains, so the gather's bounds check doubles as the padding test.
+const PAD: usize = usize::MAX;
+
+/// The lowering's index table for one layer shape: for each kernel tap
+/// `(ky, kx)` (row-major) and output position `(oy, ox)`, the offset of the
+/// input element that tap reads within one `H×W` channel plane, or [`PAD`]
+/// when it falls in the zero padding. Every channel and batch item shares
+/// it, so it is built once per call (from the arena) and turns the im2col
+/// fill and the col2im scatter into plain gathers and adds.
+struct TapTable {
+    offsets: Vec<usize>,
+    /// Kernel taps `K·K`.
+    taps: usize,
+    /// Input channel-plane size `H·W`.
+    plane: usize,
+    /// Output positions `HO·WO`.
+    n_spatial: usize,
+}
+
+impl TapTable {
+    fn new(h: usize, w: usize, cfg: &ConvCfg, ho: usize, wo: usize) -> Self {
+        let k = cfg.kernel;
+        let mut offsets = arena::take_usize(k * k * ho * wo);
+        // `Some(i)` when output index `o` with tap `t` reads input index `i`
+        // along an axis of length `len`.
+        let src = |o: usize, t: usize, len: usize| {
+            (o * cfg.stride + t).checked_sub(cfg.padding).filter(|&i| i < len)
+        };
+        for ky in 0..k {
+            for kx in 0..k {
+                for oy in 0..ho {
+                    let iy = src(oy, ky, h);
+                    offsets.extend((0..wo).map(|ox| match (iy, src(ox, kx, w)) {
+                        (Some(iy), Some(ix)) => iy * w + ix,
+                        _ => PAD,
+                    }));
+                }
+            }
+        }
+        Self { offsets, taps: k * k, plane: h * w, n_spatial: ho * wo }
+    }
+
+    /// The plane offsets read by kernel tap `tap`, one per output position.
+    fn tap(&self, tap: usize) -> &[usize] {
+        &self.offsets[tap * self.n_spatial..(tap + 1) * self.n_spatial]
+    }
+}
+
+impl Drop for TapTable {
+    fn drop(&mut self) {
+        arena::put_usize(std::mem::take(&mut self.offsets));
+    }
+}
+
 /// Lowers one batch item `[C, H, W]` (slice of length C*H*W) into a column
 /// matrix `[C*K*K, HO*WO]` written into `cols`.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
@@ -69,51 +130,24 @@ pub fn im2col(
     wo: usize,
     cols: &mut [f32],
 ) {
-    let k = cfg.kernel;
-    debug_assert_eq!(cols.len(), c * k * k * ho * wo);
-    im2col_rows(x, c, h, w, cfg, ho, wo, 1, 0, cols);
+    debug_assert_eq!(cols.len(), c * cfg.kernel * cfg.kernel * ho * wo);
+    im2col_rows(x, c, &TapTable::new(h, w, cfg, ho, wo), 1, 0, cols);
 }
 
 /// Fills rows `row0..row0 + chunk.len()/(bsz*ho*wo)` of the *batched*
 /// column matrix `[C*K*K, B*HO*WO]`. Each row is one `(channel, ky, kx)`
-/// patch coordinate spanning every batch item, so disjoint row ranges can
-/// be filled by different threads.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-fn im2col_rows(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    cfg: &ConvCfg,
-    ho: usize,
-    wo: usize,
-    bsz: usize,
-    row0: usize,
-    chunk: &mut [f32],
-) {
-    let k = cfg.kernel;
-    let n_spatial = ho * wo;
-    let cols_w = bsz * n_spatial;
-    let item_len = c * h * w;
-    for (dr, row_out) in chunk.chunks_mut(cols_w).enumerate() {
-        let row = row0 + dr;
-        let ch = row / (k * k);
-        let ky = (row / k) % k;
-        let kx = row % k;
-        debug_assert!(ch < c, "im2col row {row} out of range");
+/// patch coordinate spanning every batch item: a gather from that item's
+/// channel plane through the tap's offsets, padding taps reading zero.
+fn im2col_rows(x: &[f32], c: usize, table: &TapTable, bsz: usize, row0: usize, chunk: &mut [f32]) {
+    let (n_spatial, plane) = (table.n_spatial, table.plane);
+    for (dr, row_out) in chunk.chunks_mut(bsz * n_spatial).enumerate() {
+        let (ch, tap) = ((row0 + dr) / table.taps, (row0 + dr) % table.taps);
+        debug_assert!(ch < c, "im2col row {} out of range", row0 + dr);
+        let offsets = table.tap(tap);
         for (bi, dst) in row_out.chunks_mut(n_spatial).enumerate() {
-            let x_ch = &x[bi * item_len + ch * h * w..bi * item_len + (ch + 1) * h * w];
-            for oy in 0..ho {
-                let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                for ox in 0..wo {
-                    let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                    let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        x_ch[iy as usize * w + ix as usize]
-                    } else {
-                        0.0
-                    };
-                    dst[oy * wo + ox] = v;
-                }
+            let src = &x[(bi * c + ch) * plane..(bi * c + ch + 1) * plane];
+            for (d, &o) in dst.iter_mut().zip(offsets) {
+                *d = src.get(o).copied().unwrap_or(0.0);
             }
         }
     }
@@ -133,44 +167,23 @@ pub fn col2im(
     gx: &mut [f32],
 ) {
     debug_assert_eq!(gcols.len(), c * cfg.kernel * cfg.kernel * ho * wo);
-    col2im_strided(gcols, ho * wo, 0, c, h, w, cfg, ho, wo, gx);
+    debug_assert_eq!(gx.len(), c * h * w);
+    col2im_strided(gcols, ho * wo, 0, &TapTable::new(h, w, cfg, ho, wo), gx);
 }
 
 /// [`col2im`] over one batch item's column block inside a batched column
 /// matrix: rows have stride `row_stride` and the item's columns start at
-/// `col0`.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-fn col2im_strided(
-    gcols: &[f32],
-    row_stride: usize,
-    col0: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    cfg: &ConvCfg,
-    ho: usize,
-    wo: usize,
-    gx: &mut [f32],
-) {
-    let k = cfg.kernel;
-    debug_assert_eq!(gx.len(), c * h * w);
-    for ch in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let base = row * row_stride + col0;
-                for oy in 0..ho {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..wo {
-                        let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        gx[(ch * h + iy as usize) * w + ix as usize] += gcols[base + oy * wo + ox];
-                    }
+/// `col0`. Each input element receives its contributions in ascending
+/// `(ky, kx)` order, the accumulation order `tests/conv_equivalence.rs`
+/// pins against the per-element reference lowering.
+fn col2im_strided(gcols: &[f32], row_stride: usize, col0: usize, table: &TapTable, gx: &mut [f32]) {
+    let n_spatial = table.n_spatial;
+    for (ch, gx_plane) in gx.chunks_exact_mut(table.plane).enumerate() {
+        for tap in 0..table.taps {
+            let base = (ch * table.taps + tap) * row_stride + col0;
+            for (&o, &g) in table.tap(tap).iter().zip(&gcols[base..base + n_spatial]) {
+                if let Some(d) = gx_plane.get_mut(o) {
+                    *d += g;
                 }
             }
         }
@@ -219,9 +232,10 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, cfg: &ConvCfg) -> Conv
     // Lower the whole batch into one [patch, B*HO*WO] column matrix,
     // writing directly into the saved buffer (one row of patch coordinates
     // per parallel item).
+    let table = TapTable::new(h, wd, cfg, ho, wo);
     let mut cols_all = arena::take_f32_zeroed(patch * cols_w);
     gemm::par_items(&mut cols_all, cols_w, patch, threads, |row0, chunk| {
-        im2col_rows(x.data(), c, h, wd, cfg, ho, wo, bsz, row0, chunk);
+        im2col_rows(x.data(), c, &table, bsz, row0, chunk);
     });
 
     // One GEMM for the whole batch: W [C_out, patch] · cols [patch, B*ns].
@@ -255,8 +269,8 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, cfg: &ConvCfg) -> Conv
 
 /// Gradients of a convolution with respect to input, weight and bias.
 pub struct ConvGrads {
-    /// Gradient w.r.t. the input.
-    pub gx: Tensor,
+    /// Gradient w.r.t. the input, when it was asked for.
+    pub gx: Option<Tensor>,
     /// Gradient w.r.t. the weight.
     pub gw: Tensor,
     /// Gradient w.r.t. the bias.
@@ -265,13 +279,22 @@ pub struct ConvGrads {
 
 /// Backward convolution given the upstream gradient `gout` (`[B,C_out,HO,WO]`),
 /// the saved whole-batch column matrix, the weight, and the original input
-/// shape. Two whole-batch GEMMs plus a parallel `col2im` scatter.
+/// shape. One whole-batch GEMM for the weight gradient and, when `need_gx`,
+/// one more plus a `col2im` scatter for the input gradient — a network's
+/// first layer reads a leaf nobody differentiates, and skips both.
+///
+/// The weight gradient is computed transposed, `dWᵀ = cols · goutᵀ`
+/// (`[patch, C_out]`), so the large saved `cols` matrix is packed as it is
+/// stored and only the small result is transposed. Each element is the same
+/// ascending-`k` FMA chain as `gout · colsᵀ` with the two factors swapped,
+/// and `fma(a, b, c) == fma(b, a, c)`, so the bits are unchanged.
 pub fn conv2d_backward(
     gout: &Tensor,
     cols: &Tensor,
     w: &Tensor,
     x_shape: &[usize],
     cfg: &ConvCfg,
+    need_gx: bool,
 ) -> ConvGrads {
     let (bsz, c, h, wd) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
     let ho = gout.shape()[2];
@@ -301,44 +324,32 @@ pub fn conv2d_backward(
         gb.data_mut()[co] = row.iter().sum::<f32>();
     }
 
-    // dW = gout_r · colsᵀ — one whole-batch GEMM.
-    let mut scratch = arena::take_f32(patch * cols_w);
-    let mut gw_mat = arena::take_f32_zeroed(cfg.out_channels * patch);
-    gemm::gemm_nt(
-        &gout_r,
-        cols.data(),
-        &mut gw_mat,
-        cfg.out_channels,
-        cols_w,
-        patch,
-        &mut scratch,
-        threads,
-    );
+    // dWᵀ = cols · gout_rᵀ — one whole-batch GEMM — then the [patch, C_out]
+    // result is transposed into the weight's [C_out, patch] layout.
+    let mut gw_t = arena::take_f32_zeroed(patch * cfg.out_channels);
+    gemm::gemm_nt(cols.data(), &gout_r, &mut gw_t, patch, cols_w, cfg.out_channels, threads);
+    let mut gw_mat = arena::take_f32(cfg.out_channels * patch);
+    gemm::transpose_into(&gw_t, patch, cfg.out_channels, &mut gw_mat);
+    arena::put_f32(gw_t);
 
     // dcols = Wᵀ · gout_r — one whole-batch GEMM, then scattered back onto
-    // the input gradient in parallel over batch items.
-    let mut gcols = arena::take_f32_zeroed(patch * cols_w);
-    gemm::gemm_tn(
-        w.data(),
-        &gout_r,
-        &mut gcols,
-        patch,
-        cfg.out_channels,
-        cols_w,
-        &mut scratch,
-        threads,
-    );
-    let mut gx = Tensor::zeros(x_shape);
-    let item_len = c * h * wd;
-    gemm::par_items(gx.data_mut(), item_len, bsz, threads, |bi0, chunk| {
-        for (d, gx_item) in chunk.chunks_mut(item_len).enumerate() {
-            let bi = bi0 + d;
-            col2im_strided(&gcols, cols_w, bi * n_spatial, c, h, wd, cfg, ho, wo, gx_item);
-        }
+    // the input gradient item by item.
+    let gx = need_gx.then(|| {
+        let mut gcols = arena::take_f32_zeroed(patch * cols_w);
+        gemm::gemm_tn(w.data(), &gout_r, &mut gcols, patch, cfg.out_channels, cols_w, threads);
+        let table = TapTable::new(h, wd, cfg, ho, wo);
+        let mut gx = Tensor::zeros(x_shape);
+        let item_len = c * h * wd;
+        gemm::par_items(gx.data_mut(), item_len, bsz, threads, |bi0, chunk| {
+            for (d, gx_item) in chunk.chunks_mut(item_len).enumerate() {
+                let col0 = (bi0 + d) * n_spatial;
+                col2im_strided(&gcols, cols_w, col0, &table, gx_item);
+            }
+        });
+        arena::put_f32(gcols);
+        gx
     });
-    arena::put_f32(scratch);
     arena::put_f32(gout_r);
-    arena::put_f32(gcols);
     ConvGrads {
         gx,
         gw: Tensor::from_vec(&[cfg.out_channels, cfg.in_channels, cfg.kernel, cfg.kernel], gw_mat),
@@ -474,7 +485,8 @@ mod tests {
         // Loss = sum of outputs, so gout = ones.
         let f = conv2d_forward(&x, &w, &b, &c);
         let gout = Tensor::ones(f.output.shape());
-        let grads = conv2d_backward(&gout, &f.cols, &w, x.shape(), &c);
+        let grads = conv2d_backward(&gout, &f.cols, &w, x.shape(), &c, true);
+        let gx = grads.gx.as_ref().expect("input gradient was requested");
 
         let eps = 1e-2f32;
         // Check a sample of weight coordinates.
@@ -502,9 +514,9 @@ mod tests {
             let fm = conv2d_forward(&xm, &w, &b, &c).output.sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
-                (num - grads.gx.data()[i]).abs() < 2e-2,
+                (num - gx.data()[i]).abs() < 2e-2,
                 "gx[{i}] numeric {num} analytic {}",
-                grads.gx.data()[i]
+                gx.data()[i]
             );
         }
         // Bias gradient is exactly the number of output positions per

@@ -12,11 +12,9 @@
 //!   fallback elsewhere). Large problems fan out across the persistent
 //!   kernel pool ([`crate::ops::pool`]) on a 2-D grid of row-chunk ×
 //!   column-panel cells;
-//! * [`gemm_scoped`] — the retired per-call scoped-spawn dispatcher, kept
-//!   as a differential baseline for benches and equivalence tests;
-//! * [`gemm_nt`] / [`gemm_tn`] — `A·Bᵀ` and `Aᵀ·B` via a transpose pack
-//!   into a caller-provided scratch buffer (no per-call allocation when the
-//!   caller reuses the scratch across steps);
+//! * [`gemm_nt`] / [`gemm_tn`] — `A·Bᵀ` and `Aᵀ·B`, packing the stored
+//!   transpose straight into the same panel layouts (no materialized
+//!   transpose, no caller scratch);
 //! * [`matmul_naive`] — the unblocked reference kernel, kept for
 //!   correctness tests and as the benchmark baseline.
 //!
@@ -222,48 +220,30 @@ pub fn matmul_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
 /// row-major. Packs both operands once, then fans row-chunk × column-panel
 /// cells across up to `threads` persistent pool workers when the problem is
 /// large enough; bit-identical to [`matmul_naive`] for every thread count.
+/// Products with fewer than `MR` rows skip packing and run the reference
+/// `ikj` loop directly.
 ///
 /// # Panics
 ///
 /// If a slice length disagrees with its shape, or if a pool worker dies
-/// while holding one of this call's cells (a job panic — mirrors the panic
-/// propagation of the old scoped-spawn dispatcher).
+/// while holding one of this call's cells (a job panic is re-raised on the
+/// calling thread).
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
     assert_eq!(a.len(), m * k, "gemm lhs length");
     assert_eq!(b.len(), k * n, "gemm rhs length");
-    assert_eq!(out.len(), m * n, "gemm out length");
-    // ordering: telemetry gate + monotonic counters; dispatches racing a
-    // toggle may miss a tally, which telemetry tolerates.
-    if KERNEL_TELEMETRY.load(Ordering::Relaxed) {
-        GEMM_CALLS.fetch_add(1, Ordering::Relaxed); // ordering: telemetry counter
-                                                    // ordering: telemetry counter (see the gate comment above).
-        GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
-    }
-    let threads = threads.max(1);
-    if threads <= 1 || m * n * k < PAR_THRESHOLD {
-        gemm_rows(a, b, out, k, n);
-        return;
-    }
-    gemm_pooled(a, b, out, m, k, n, threads);
+    gemm_dispatch(Operand::plain(a), Operand::plain(b), out, m, k, n, threads);
 }
 
-/// The pooled dispatcher, bitwise identical to [`matmul_naive`] regardless
-/// of which thread computes what.
+/// `out = A·Bᵀ` with `A: [m,k]`, `B: [n,k]`, `out: [m,n]`. `B` is packed
+/// straight from its stored layout — the transpose is never materialized —
+/// and every output element is the same ascending-`k` chain as
+/// materializing `Bᵀ` and calling [`matmul_naive`], so the two agree
+/// bitwise.
 ///
-/// A and B are packed once on the dispatching thread and shared with the
-/// workers read-only behind `Arc` — packing replaces the old dispatcher's
-/// per-chunk A copies and whole-B clone with work the kernel needs anyway,
-/// and read-only sharing means workers never bounce dirty cache lines. The
-/// output is partitioned into a 2-D grid of (`MR`-aligned row chunk) ×
-/// (`NC` column panel) cells — disjoint, so no two threads ever write the
-/// same `C` line. The caller keeps cell (0,0), computing it in place on the
-/// original `out` borrow; every other cell becomes a pool job that fills an
-/// arena-recycled dense panel and hands it back over a per-call channel for
-/// the dispatcher to copy into `out` (jobs must be `'static`; the workspace
-/// denies `unsafe`, so `out` borrows cannot cross the pool boundary). While
-/// waiting, the caller drains queued jobs inline ([`pool::try_run_one`]),
-/// so the call completes even on a pool with zero workers.
-fn gemm_pooled(
+/// # Panics
+///
+/// If a slice length disagrees with its shape.
+pub fn gemm_nt(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -272,15 +252,154 @@ fn gemm_pooled(
     n: usize,
     threads: usize,
 ) {
+    assert_eq!(a.len(), m * k, "gemm_nt lhs length");
+    assert_eq!(b.len(), n * k, "gemm_nt rhs length");
+    gemm_dispatch(Operand::plain(a), Operand::transposed(b), out, m, k, n, threads);
+}
+
+/// `out = Aᵀ·B` with `A: [k,m]`, `B: [k,n]`, `out: [m,n]`. `A` is packed
+/// straight from its stored layout, bitwise equal to materializing `Aᵀ`
+/// and calling [`matmul_naive`].
+///
+/// # Panics
+///
+/// If a slice length disagrees with its shape.
+pub fn gemm_tn(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
+    assert_eq!(a.len(), k * m, "gemm_tn lhs length");
+    assert_eq!(b.len(), k * n, "gemm_tn rhs length");
+    gemm_dispatch(Operand::transposed(a), Operand::plain(b), out, m, k, n, threads);
+}
+
+/// A GEMM operand as stored: either the logical row-major matrix, or the
+/// row-major image of its transpose (the `gemm_nt` / `gemm_tn` operands).
+/// Only packing and the skinny loop read operands, through [`Operand::at`]
+/// or layout-specific copies, so a transposed operand costs nothing extra.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    fn plain(data: &'a [f32]) -> Self {
+        Self { data, transposed: false }
+    }
+
+    fn transposed(data: &'a [f32]) -> Self {
+        Self { data, transposed: true }
+    }
+
+    /// Element `(r, c)` of the logical `rows × cols` matrix.
+    fn at(&self, r: usize, c: usize, rows: usize, cols: usize) -> f32 {
+        if self.transposed {
+            self.data[c * rows + r]
+        } else {
+            self.data[r * cols + c]
+        }
+    }
+}
+
+/// Shared body of [`gemm`], [`gemm_nt`] and [`gemm_tn`]: tallies the call,
+/// then picks the skinny loop, the sequential packed kernel or the pooled
+/// dispatcher. All three compute each output element as one ascending-`k`
+/// FMA chain starting from `+0.0`, so the choice never changes a bit.
+fn gemm_dispatch(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
+    assert_eq!(out.len(), m * n, "gemm out length");
+    // ordering: telemetry gate + monotonic counters; dispatches racing a
+    // toggle may miss a tally, which telemetry tolerates.
+    if KERNEL_TELEMETRY.load(Ordering::Relaxed) {
+        GEMM_CALLS.fetch_add(1, Ordering::Relaxed); // ordering: telemetry counter
+                                                    // ordering: telemetry counter (see the gate comment above).
+        GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
+    }
+    if m == 0 || n == 0 {
+        return;
+    }
+    if m < MR {
+        // Fewer rows than one register tile: packing B would copy the whole
+        // weight for a handful of output rows (the B=1 rollout's fc layer
+        // spent most of its time there), so run the reference loop instead.
+        gemm_skinny(a, b, out, m, k, n);
+        return;
+    }
+    if k == 0 {
+        // Empty sum: the product is all zeros and the tile loop would never
+        // write `out`.
+        out.fill(0.0);
+        return;
+    }
+    if threads.max(1) <= 1 || m * n * k < PAR_THRESHOLD {
+        gemm_sequential(a, b, out, m, k, n);
+    } else {
+        gemm_pooled(a, b, out, m, k, n, threads);
+    }
+}
+
+/// The `ikj` reference loop of [`matmul_naive`] over possibly-transposed
+/// operands, for products with fewer than `MR` rows. Each output element is
+/// the same chain `fma(a[i][p], b[p][j], acc)` for ascending `p` from
+/// `acc = +0.0` that the packed kernel computes.
+fn gemm_skinny(a: Operand<'_>, b: Operand<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+    out.fill(0.0);
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+        for p in 0..k {
+            let av = a.at(i, p, m, k);
+            if b.transposed {
+                for (j, o) in o_row.iter_mut().enumerate() {
+                    *o = av.mul_add(b.data[j * k + p], *o);
+                }
+            } else {
+                for (o, &bv) in o_row.iter_mut().zip(&b.data[p * n..(p + 1) * n]) {
+                    *o = av.mul_add(bv, *o);
+                }
+            }
+        }
+    }
+}
+
+/// The pooled dispatcher, bitwise identical to [`matmul_naive`] regardless
+/// of which thread computes what.
+///
+/// A and B are packed once on the dispatching thread and shared with the
+/// workers read-only behind `Arc`, so workers never bounce dirty cache
+/// lines. The output is partitioned into a 2-D grid of (`MR`-aligned row
+/// chunk) × (`NC` column panel) cells — disjoint, so no two threads ever
+/// write the same `C` line. The caller keeps cell (0,0), computing it in
+/// place on the original `out` borrow; every other cell becomes a pool job
+/// that fills an arena-recycled dense panel and hands it back over a
+/// per-call channel for the dispatcher to copy into `out` (jobs must be
+/// `'static`; the workspace denies `unsafe`, so `out` borrows cannot cross
+/// the pool boundary). While waiting, the caller drains queued jobs inline
+/// ([`pool::try_run_one`]), so the call completes even on a pool with zero
+/// workers.
+fn gemm_pooled(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
     pool::ensure_workers(threads - 1);
     let use_simd = simd_kernel_active();
-
-    // Zeroed: `pack_b` relies on pad lanes reading as zero, and `pack_a`
-    // overwrites every element anyway.
-    let mut ap = arena::take_f32_zeroed(m * k);
-    pack_a(a, m, k, &mut ap);
-    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
-    pack_b(b, k, n, &mut bp);
+    let (ap, bp) = pack_operands(a, b, m, k, n);
     let ap = Arc::new(ap);
     let bp = Arc::new(bp);
 
@@ -364,83 +483,6 @@ fn gemm_pooled(
     }
 }
 
-/// The retired scoped-spawn GEMM dispatcher: spawns fresh threads per call
-/// exactly as the PR 3 kernel did (no volume threshold — callers choose the
-/// fan-out, and each scoped worker packs its own operand copies). Kept
-/// purely as a differential baseline: the pooled-vs-scoped bench record
-/// quantifies what the pool + shared packing save, and the equivalence
-/// tests pin pooled output bitwise against this path.
-///
-/// # Panics
-///
-/// If a slice length disagrees with its shape.
-pub fn gemm_scoped(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "gemm lhs length");
-    assert_eq!(b.len(), k * n, "gemm rhs length");
-    assert_eq!(out.len(), m * n, "gemm out length");
-    let threads = threads.max(1).min(m.max(1));
-    if threads <= 1 {
-        gemm_rows(a, b, out, k, n);
-        return;
-    }
-    pool::run_scoped_rows(a, b, out, k, n, m.div_ceil(threads), gemm_rows);
-}
-
-/// `out = A·Bᵀ` with `A: [m,k]`, `B: [n,k]`, `out: [m,n]`. `B` is
-/// transpose-packed into `scratch` (resized as needed, reusable across
-/// calls) and the product runs through the blocked kernel, so accumulation
-/// order matches materializing `Bᵀ` and calling [`matmul_naive`].
-///
-/// # Panics
-///
-/// If a slice length disagrees with its shape.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style signature
-pub fn gemm_nt(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut Vec<f32>,
-    threads: usize,
-) {
-    assert_eq!(b.len(), n * k, "gemm_nt rhs length");
-    transpose_into(b, n, k, scratch);
-    gemm(a, scratch, out, m, k, n, threads);
-}
-
-/// `out = Aᵀ·B` with `A: [k,m]`, `B: [k,n]`, `out: [m,n]`. `A` is
-/// transpose-packed into `scratch` (resized as needed, reusable across
-/// calls) and the product runs through the blocked kernel.
-///
-/// # Panics
-///
-/// If a slice length disagrees with its shape.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style signature
-pub fn gemm_tn(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut Vec<f32>,
-    threads: usize,
-) {
-    assert_eq!(a.len(), k * m, "gemm_tn lhs length");
-    transpose_into(a, k, m, scratch);
-    gemm(scratch, b, out, m, k, n, threads);
-}
-
 /// Writes the transpose of row-major `src: [rows, cols]` into `dst`
 /// (`[cols, rows]`), resizing `dst` but keeping its allocation when large
 /// enough.
@@ -487,15 +529,33 @@ pub fn par_items(
     }
 }
 
-/// Packs row-major `a: [m,k]` into the `k`-block-major `MR`-interleaved
+/// Packs both operands into arena buffers (layouts in the module docs).
+/// Zeroed: `pack_b` relies on pad lanes reading as zero, and `pack_a`
+/// overwrites every element anyway.
+fn pack_operands(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut ap = arena::take_f32_zeroed(m * k);
+    pack_a(a, m, k, &mut ap);
+    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
+    pack_b(b, k, n, &mut bp);
+    (ap, bp)
+}
+
+/// Packs the logical `a: [m,k]` into the `k`-block-major `MR`-interleaved
 /// micro-panel layout (see module docs). `dst` must hold exactly `m·k`
 /// elements; every one is overwritten. Pure reshuffle — every source
 /// element appears exactly once, so no rounding or NaN behavior is
-/// introduced. The full-height case is a bounds-check-free 4-row
-/// interleave that LLVM vectorizes; packing cost showed up at 64³-class
-/// shapes when this was a per-element `push` loop.
-fn pack_a(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
+/// introduced. A stored transpose is already `k`-major, so each step's `r`
+/// row values are one contiguous copy; the plain full-height case is a
+/// bounds-check-free 4-row interleave that LLVM vectorizes.
+fn pack_a(a: Operand<'_>, m: usize, k: usize, dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), m * k);
+    let src = a.data;
     let mut kb = 0;
     while kb < k {
         let kc = KC.min(k - kb);
@@ -504,11 +564,16 @@ fn pack_a(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
             let r = MR.min(m - i);
             let base = m * kb + kc * i;
             let dpan = &mut dst[base..base + kc * r];
-            if r == MR {
-                let r0 = &a[i * k + kb..i * k + kb + kc];
-                let r1 = &a[(i + 1) * k + kb..(i + 1) * k + kb + kc];
-                let r2 = &a[(i + 2) * k + kb..(i + 2) * k + kb + kc];
-                let r3 = &a[(i + 3) * k + kb..(i + 3) * k + kb + kc];
+            if a.transposed {
+                for (p, d) in dpan.chunks_exact_mut(r).enumerate() {
+                    let s = (kb + p) * m + i;
+                    d.copy_from_slice(&src[s..s + r]);
+                }
+            } else if r == MR {
+                let r0 = &src[i * k + kb..i * k + kb + kc];
+                let r1 = &src[(i + 1) * k + kb..(i + 1) * k + kb + kc];
+                let r2 = &src[(i + 2) * k + kb..(i + 2) * k + kb + kc];
+                let r3 = &src[(i + 3) * k + kb..(i + 3) * k + kb + kc];
                 for ((((d, &x0), &x1), &x2), &x3) in
                     dpan.chunks_exact_mut(MR).zip(r0).zip(r1).zip(r2).zip(r3)
                 {
@@ -520,7 +585,7 @@ fn pack_a(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
             } else {
                 for (p, d) in dpan.chunks_exact_mut(r).enumerate() {
                     for (rr, v) in d.iter_mut().enumerate() {
-                        *v = a[(i + rr) * k + kb + p];
+                        *v = src[(i + rr) * k + kb + p];
                     }
                 }
             }
@@ -530,16 +595,18 @@ fn pack_a(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
     }
 }
 
-/// Packs row-major `b: [k,n]` into the `k`-block-major `NR`-wide
+/// Packs the logical `b: [k,n]` into the `k`-block-major `NR`-wide
 /// column-panel layout (see module docs). `dst` must hold exactly
 /// `k · n_pad` elements (`n_pad` = `n` rounded up to `NR`) **and arrive
 /// zeroed** — pad lanes beyond `nr` are left untouched and must read as
-/// zero. The dispatchers take `dst` from [`arena::take_f32_zeroed`], which
-/// guarantees this. Pad lanes only ever feed accumulator lanes that are
-/// never written back, so `NaN` operands in `A` cannot leak through them.
-fn pack_b(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
+/// zero ([`pack_operands`] guarantees this). Pad lanes only ever feed
+/// accumulator lanes that are never written back, so `NaN` operands in `A`
+/// cannot leak through them. A stored transpose holds each panel column as
+/// a contiguous run, scattered `NR` apart into the panel.
+fn pack_b(b: Operand<'_>, k: usize, n: usize, dst: &mut [f32]) {
     let n_pad = n.div_ceil(NR) * NR;
     debug_assert_eq!(dst.len(), k * n_pad);
+    let src = b.data;
     let mut kb = 0;
     while kb < k {
         let kc = KC.min(k - kb);
@@ -548,8 +615,17 @@ fn pack_b(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
             let nr = NR.min(n - j);
             let base = n_pad * kb + kc * j;
             let dpan = &mut dst[base..base + kc * NR];
-            for (p, d) in dpan.chunks_exact_mut(NR).enumerate() {
-                d[..nr].copy_from_slice(&b[(kb + p) * n + j..(kb + p) * n + j + nr]);
+            if b.transposed {
+                for l in 0..nr {
+                    let col = &src[(j + l) * k + kb..(j + l) * k + kb + kc];
+                    for (d, &v) in dpan.chunks_exact_mut(NR).zip(col) {
+                        d[l] = v;
+                    }
+                }
+            } else {
+                for (p, d) in dpan.chunks_exact_mut(NR).enumerate() {
+                    d[..nr].copy_from_slice(&src[(kb + p) * n + j..(kb + p) * n + j + nr]);
+                }
             }
             j += NR;
         }
@@ -618,35 +694,14 @@ fn gemm_packed(
     }
 }
 
-/// Single-threaded packed GEMM over a full row range: `a` holds exactly the
-/// rows of `out`. Packs both operands into thread-local arena scratch, then
-/// sweeps L2-sized `NC` column panels. Prior `out` contents are ignored —
-/// the first `k`-block pass overwrites every element before any later block
-/// reloads it, so callers need not (and do not) zero `out` first. This is
-/// also the per-chunk kernel of the retired scoped baseline, which is why
-/// it keeps the `fn(a, b, out, k, n)` shape [`pool::run_scoped_rows`]
-/// expects.
-fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Empty sum: the product is all zeros and the tile loop below would
-        // never write `out`.
-        out.fill(0.0);
-        return;
-    }
-    let m = out.len() / n;
-    if m == 0 {
-        return;
-    }
+/// Single-threaded packed GEMM: packs both operands into thread-local arena
+/// scratch, then sweeps L2-sized `NC` column panels. Prior `out` contents
+/// are ignored — the first `k`-block pass overwrites every element before
+/// any later block reloads it, so callers need not (and do not) zero `out`
+/// first.
+fn gemm_sequential(a: Operand<'_>, b: Operand<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     let use_simd = simd_kernel_active();
-    // Zeroed: `pack_b` relies on pad lanes reading as zero, and `pack_a`
-    // overwrites every element anyway.
-    let mut ap = arena::take_f32_zeroed(m * k);
-    pack_a(a, m, k, &mut ap);
-    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
-    pack_b(b, k, n, &mut bp);
+    let (ap, bp) = pack_operands(a, b, m, k, n);
     let mut j0 = 0;
     while j0 < n {
         let nc = NC.min(n - j0);
@@ -702,7 +757,7 @@ mod tests {
     fn pooled_dispatch_matches_naive_bitwise_above_threshold() {
         // 160³ volume (4.1 M) clears PAR_THRESHOLD, so threads ≥ 2 route
         // through the persistent pool; every thread count must agree with
-        // the reference bit-for-bit, and with the scoped baseline.
+        // the reference bit-for-bit.
         let (m, k, n) = (160usize, 160, 160);
         assert!(m * k * n >= PAR_THRESHOLD, "shape must exercise the pooled path");
         let a = lcg_fill(7, m * k);
@@ -713,9 +768,6 @@ mod tests {
             let mut got = vec![0.0; m * n];
             gemm(&a, &b, &mut got, m, k, n, threads);
             assert_eq!(got, want, "pooled threads={threads}");
-            let mut scoped = vec![0.0; m * n];
-            gemm_scoped(&a, &b, &mut scoped, m, k, n, threads);
-            assert_eq!(scoped, want, "scoped threads={threads}");
         }
     }
 
@@ -726,10 +778,21 @@ mod tests {
         let a = lcg_fill(11, m * k);
         let b = lcg_fill(12, k * n);
         let mut ap = vec![0.0f32; m * k];
-        pack_a(&a, m, k, &mut ap);
+        pack_a(Operand::plain(&a), m, k, &mut ap);
         let n_pad = n.div_ceil(NR) * NR;
         let mut bp = vec![0.0f32; k * n_pad];
-        pack_b(&b, k, n, &mut bp);
+        pack_b(Operand::plain(&b), k, n, &mut bp);
+        // Packing a stored transpose must give the same panels.
+        let (mut at, mut bt) = (Vec::new(), Vec::new());
+        transpose_into(&a, m, k, &mut at);
+        transpose_into(&b, k, n, &mut bt);
+        let mut ap_t = vec![0.0f32; m * k];
+        pack_a(Operand::transposed(&at), m, k, &mut ap_t);
+        let mut bp_t = vec![0.0f32; k * n_pad];
+        pack_b(Operand::transposed(&bt), k, n, &mut bp_t);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ap_t), bits(&ap), "transposed A pack differs");
+        assert_eq!(bits(&bp_t), bits(&bp), "transposed B pack differs");
         // Check the documented offset formulas directly.
         let mut kb = 0;
         while kb < k {
@@ -790,16 +853,15 @@ mod tests {
         let at = lcg_fill(3, k * m); // A stored [k, m]
         let b = lcg_fill(4, k * n);
 
-        let mut scratch = Vec::new();
         let mut got = vec![0.0; m * n];
-        gemm_nt(&a, &bt, &mut got, m, k, n, &mut scratch, 1);
+        gemm_nt(&a, &bt, &mut got, m, k, n, 1);
         let mut b_mat = Vec::new();
         transpose_into(&bt, n, k, &mut b_mat);
         let mut want = vec![0.0; m * n];
         matmul_naive(&a, &b_mat, &mut want, m, k, n);
         assert_eq!(got, want);
 
-        gemm_tn(&at, &b, &mut got, m, k, n, &mut scratch, 1);
+        gemm_tn(&at, &b, &mut got, m, k, n, 1);
         let mut a_mat = Vec::new();
         transpose_into(&at, k, m, &mut a_mat);
         matmul_naive(&a_mat, &b, &mut want, m, k, n);

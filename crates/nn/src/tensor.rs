@@ -285,68 +285,45 @@ impl Tensor {
     }
 
     /// `self · otherᵀ` for `self: [m,k]`, `other: [n,k]` → `[m,n]`, without
-    /// the caller materializing the transpose.
+    /// materializing the transpose.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let mut out = self.empty_product(other);
-        let mut scratch = arena::take_f32(other.numel());
-        self.matmul_nt_into(other, &mut scratch, &mut out);
-        arena::put_f32(scratch);
-        out
-    }
-
-    /// [`Self::matmul_nt`] writing into `out` and transpose-packing through
-    /// `scratch`, reusing both allocations across calls.
-    pub fn matmul_nt_into(&self, other: &Tensor, scratch: &mut Vec<f32>, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "matmul_nt lhs must be rank 2");
         assert_eq!(other.ndim(), 2, "matmul_nt rhs must be rank 2");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dims {} vs {}", k, k2);
-        out.set_shape2(m, n);
+        let mut out = arena::take_f32_zeroed(m * n);
         crate::ops::gemm::gemm_nt(
             &self.data,
             &other.data,
-            &mut out.data,
+            &mut out,
             m,
             k,
             n,
-            scratch,
             crate::ops::gemm::kernel_threads(),
         );
+        Tensor::from_vec(&[m, n], out)
     }
 
     /// `selfᵀ · other` for `self: [k,m]`, `other: [k,n]` → `[m,n]`, without
-    /// the caller materializing the transpose.
+    /// materializing the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let m = self.shape.last().copied().unwrap_or(0);
-        let n = other.shape.last().copied().unwrap_or(0);
-        let mut out =
-            Tensor { shape: arena::take_usize(2), data: arena::take_f32(m.saturating_mul(n)) };
-        let mut scratch = arena::take_f32(self.numel());
-        self.matmul_tn_into(other, &mut scratch, &mut out);
-        arena::put_f32(scratch);
-        out
-    }
-
-    /// [`Self::matmul_tn`] writing into `out` and transpose-packing through
-    /// `scratch`, reusing both allocations across calls.
-    pub fn matmul_tn_into(&self, other: &Tensor, scratch: &mut Vec<f32>, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "matmul_tn lhs must be rank 2");
         assert_eq!(other.ndim(), 2, "matmul_tn rhs must be rank 2");
         let (k, m) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dims {} vs {}", k, k2);
-        out.set_shape2(m, n);
+        let mut out = arena::take_f32_zeroed(m * n);
         crate::ops::gemm::gemm_tn(
             &self.data,
             &other.data,
-            &mut out.data,
+            &mut out,
             m,
             k,
             n,
-            scratch,
             crate::ops::gemm::kernel_threads(),
         );
+        Tensor::from_vec(&[m, n], out)
     }
 
     /// Transpose of a rank-2 tensor.

@@ -6,28 +6,50 @@
 //! The test installs a counting `GlobalAlloc` wrapper, warms the arena with a
 //! few steps, then asserts the allocation counter does not move across
 //! subsequent steps. Any new `Vec` sneaking into the hot path shows up as a
-//! nonzero delta with the step index that regressed.
+//! nonzero delta with the step index that regressed. Allocations are
+//! counted per thread, so the tests in this binary (and the harness thread
+//! reporting them) cannot pollute each other's windows; every test runs its
+//! kernels on one thread.
+//!
+//! Besides a small conv/layer-norm/linear step, two workloads shaped like
+//! the actor–critic's conv trunk are pinned: a batch-of-one forward (the
+//! rollout path, whose fc layer takes the unpacked skinny GEMM) and a
+//! batch-of-100 forward + backward from a leaf input (the PPO minibatch
+//! path: table-driven lowering, transposed-operand GEMMs, the transposed
+//! weight gradient and the skipped leaf input gradient).
 #![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vc_nn::arena;
-use vc_nn::graph::Graph;
+use vc_nn::graph::{Graph, NodeId};
 use vc_nn::ops::conv::ConvCfg;
 use vc_nn::ops::gemm::set_kernel_threads;
 use vc_nn::param::{ParamId, ParamStore};
 use vc_nn::tensor::Tensor;
 
-/// Counts every `alloc`/`realloc` hitting the global allocator.
+/// Counts every `alloc`/`realloc` hitting the global allocator, per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown are not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -121,9 +143,9 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
     assert!(loss.is_finite(), "warmup produced non-finite loss {loss}");
 
     for step in 0..5 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let l = train_step(&mut m, &input);
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let delta = allocs() - before;
         assert!(l.is_finite(), "step {step} produced non-finite loss {l}");
         assert_eq!(
             delta, 0,
@@ -131,4 +153,119 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
              some graph/kernel buffer is bypassing the arena"
         );
     }
+}
+
+/// The actor–critic conv trunk at the paper grid (3×16×16 state, three
+/// conv + layer-norm + relu stages, fc 256→128, a 9-way head).
+struct Trunk {
+    store: ParamStore,
+    convs: [(ParamId, ParamId, ConvCfg); 3],
+    norms: [(ParamId, ParamId); 3],
+    fc: (ParamId, ParamId),
+    head: (ParamId, ParamId),
+}
+
+const GRID: usize = 16;
+const STATE_LEN: usize = CH * GRID * GRID;
+
+fn build_trunk() -> Trunk {
+    let mut store = ParamStore::new();
+    let mut fill = |name: &str, shape: &[usize], scale: f32| {
+        let len = shape.iter().product::<usize>();
+        let v = (0..len).map(|i| ((i as f32 * 0.37 + len as f32).sin()) * scale).collect();
+        store.add(name, Tensor::from_vec(shape, v))
+    };
+    let cfgs = [
+        ConvCfg { in_channels: CH, out_channels: 8, kernel: 3, stride: 2, padding: 1 },
+        ConvCfg { in_channels: 8, out_channels: 16, kernel: 3, stride: 2, padding: 1 },
+        ConvCfg { in_channels: 16, out_channels: 16, kernel: 3, stride: 1, padding: 1 },
+    ];
+    let convs = cfgs.map(|c| {
+        let w = fill("conv.w", &[c.out_channels, c.in_channels, 3, 3], 0.2);
+        let b = fill("conv.b", &[c.out_channels], 0.01);
+        (w, b, c)
+    });
+    let norms = [8 * 8 * 8, 16 * 4 * 4, 16 * 4 * 4]
+        .map(|f| (fill("ln.gamma", &[f], 0.1), fill("ln.beta", &[f], 0.01)));
+    let fc = (fill("fc.w", &[256, 128], 0.05), fill("fc.b", &[128], 0.01));
+    let head = (fill("head.w", &[128, ACTIONS], 0.05), fill("head.b", &[ACTIONS], 0.01));
+    Trunk { store, convs, norms, fc, head }
+}
+
+/// Forward through the trunk from a `[B, 3, 16, 16]` leaf; returns the
+/// head logits.
+fn trunk_forward(t: &Trunk, g: &mut Graph, states: NodeId, bsz: usize) -> NodeId {
+    let mut x = states;
+    for ((w, b, cfg), (gamma, beta)) in t.convs.iter().zip(&t.norms) {
+        let (wn, bn) = (g.param(&t.store, *w), g.param(&t.store, *b));
+        let y = g.conv2d(x, wn, bn, *cfg);
+        let (c, h_out, w) = (cfg.out_channels, g.shape(y)[2], g.shape(y)[3]);
+        let flat = g.reshape(y, &[bsz, c * h_out * w]);
+        let (gn, bt) = (g.param(&t.store, *gamma), g.param(&t.store, *beta));
+        let ln = g.layer_norm(flat, gn, bt, 1e-5);
+        let h = g.relu(ln);
+        x = g.reshape(h, &[bsz, c, h_out, w]);
+    }
+    let x = g.reshape(x, &[bsz, 256]);
+    let (fw, fb) = (g.param(&t.store, t.fc.0), g.param(&t.store, t.fc.1));
+    let f = g.matmul(x, fw);
+    let f = g.add_row_broadcast(f, fb);
+    let f = g.relu(f);
+    let (hw, hb) = (g.param(&t.store, t.head.0), g.param(&t.store, t.head.1));
+    let logits = g.matmul(f, hw);
+    g.add_row_broadcast(logits, hb)
+}
+
+/// Runs `step` five times to warm the arena, then five more asserting that
+/// none of them allocates.
+fn assert_steady_state_allocation_free(what: &str, mut step: impl FnMut() -> f32) {
+    for _ in 0..5 {
+        let v = step();
+        assert!(v.is_finite(), "{what}: warmup produced non-finite {v}");
+    }
+    for i in 0..5 {
+        let before = allocs();
+        let v = step();
+        let delta = allocs() - before;
+        assert!(v.is_finite(), "{what}: step {i} produced non-finite {v}");
+        assert_eq!(
+            delta, 0,
+            "{what}: steady-state step {i} hit the global allocator {delta} time(s)"
+        );
+    }
+}
+
+#[test]
+fn steady_state_batch_of_one_trunk_forward_performs_zero_heap_allocations() {
+    set_kernel_threads(1);
+    let t = build_trunk();
+    let state: Vec<f32> = (0..STATE_LEN).map(|i| ((i as f32 * 0.11).cos()) * 0.5).collect();
+    assert_steady_state_allocation_free("B=1 trunk forward", || {
+        let mut g = Graph::new();
+        let s = g.leaf(Tensor::from_slice(&[1, CH, GRID, GRID], &state));
+        let logits = trunk_forward(&t, &mut g, s, 1);
+        g.value(logits).data()[0]
+    });
+}
+
+#[test]
+fn steady_state_ppo_minibatch_performs_zero_heap_allocations() {
+    set_kernel_threads(1);
+    const B: usize = 100;
+    let mut t = build_trunk();
+    let states: Vec<f32> = (0..B * STATE_LEN).map(|i| ((i as f32 * 0.07).sin()) * 0.5).collect();
+    assert_steady_state_allocation_free("B=100 trunk forward + backward", || {
+        let mut g = Graph::new();
+        let s = g.leaf(Tensor::from_slice(&[B, CH, GRID, GRID], &states));
+        let logits = trunk_forward(&t, &mut g, s, B);
+        let lp = g.log_softmax(logits);
+        let mut idx = arena::take_usize(B);
+        idx.extend((0..B).map(|i| i % ACTIONS));
+        let picked = g.pick_column(lp, idx);
+        let mean = g.mean_all(picked);
+        let loss = g.neg(mean);
+        let l = g.backward(loss, &mut t.store);
+        t.store.zero_grads();
+        l
+    });
 }

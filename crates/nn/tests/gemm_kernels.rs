@@ -116,12 +116,11 @@ fn randomized_blocked_matches_naive_bitwise() {
 #[test]
 fn transposed_variants_match_naive_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(42);
-    let mut scratch = Vec::new();
     for &(m, k, n) in &[(3, 5, 7), (13, 8, 21), (1, 19, 4)] {
         let a = tensor2(&mut rng, m, k);
         let bt = tensor2(&mut rng, n, k);
         let mut got = vec![0.0f32; m * n];
-        gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, &mut scratch, 1);
+        gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, 1);
         let mut b_mat = Vec::new();
         gemm::transpose_into(bt.data(), n, k, &mut b_mat);
         let mut want = vec![0.0f32; m * n];

@@ -1,8 +1,7 @@
 //! Bit-exact equivalence of every GEMM execution strategy.
 //!
-//! The pooled dispatcher ([`gemm`]), the scoped-thread baseline
-//! ([`gemm_scoped`]) and the sequential reference ([`matmul_naive`]) must
-//! agree **bitwise** for every thread count, because the deterministic
+//! The pooled dispatcher ([`gemm`]) and the sequential reference
+//! ([`matmul_naive`]) must agree **bitwise** for every thread count, because the deterministic
 //! replay/golden-trace machinery depends on runs being reproducible across
 //! machines with different core counts. The pooled path partitions the
 //! output into MR-aligned row chunks × L2-sized column panels and runs the
@@ -18,7 +17,9 @@
 //! must produce the same bits as the vectorized path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{gemm, gemm_scoped, matmul_naive, set_force_scalar, PAR_THRESHOLD};
+use vc_nn::ops::gemm::{
+    gemm, gemm_nt, gemm_tn, matmul_naive, set_force_scalar, transpose_into, PAR_THRESHOLD,
+};
 
 fn lcg_fill(buf: &mut [f32], mut state: u64) {
     for v in buf.iter_mut() {
@@ -50,15 +51,6 @@ fn check_shape(m: usize, k: usize, n: usize) {
                 pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want,
                 "pooled gemm diverged from naive at {m}x{k}x{n}, \
-                 threads={threads}, force_scalar={scalar}"
-            );
-
-            let mut scoped = vec![0.0f32; m * n];
-            gemm_scoped(&a, &b, &mut scoped, m, k, n, threads);
-            assert_eq!(
-                scoped.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "scoped gemm diverged from naive at {m}x{k}x{n}, \
                  threads={threads}, force_scalar={scalar}"
             );
         }
@@ -93,8 +85,8 @@ fn above_threshold_prime_shape_is_bitwise_identical() {
 
 #[test]
 fn below_threshold_shape_is_bitwise_identical() {
-    // 64³ stays sequential in `gemm` for every thread count; `gemm_scoped`
-    // still fans out (it has no threshold). Both must match naive exactly.
+    // 64³ stays sequential in `gemm` for every thread count and must match
+    // naive exactly.
     const { assert!(64 * 64 * 64 < PAR_THRESHOLD) }
     check_shape(64, 64, 64);
 }
@@ -124,4 +116,84 @@ fn more_threads_than_panels_is_bitwise_identical() {
     let (m, k, n) = (8, 4096, 64);
     assert!(m * k * n >= PAR_THRESHOLD, "shape fell below PAR_THRESHOLD");
     check_shape(m, k, n);
+}
+
+/// `gemm`, `gemm_nt` and `gemm_tn` against `matmul_naive` on materialized
+/// transposes, for every kernel flavor and thread count. The operands may
+/// carry non-finite and signed-zero values: each output element is one
+/// ascending-`k` FMA chain from `+0.0` on every path, so even `NaN`, `∞`
+/// and `−0.0` results must agree bitwise.
+fn check_transposed(m: usize, k: usize, n: usize, poison: &[f32]) {
+    let mut a = vec![0.0f32; m * k];
+    let mut b = vec![0.0f32; k * n];
+    lcg_fill(&mut a, 0x5851F42D4C957F2D ^ (m * k * n) as u64);
+    lcg_fill(&mut b, 0x14057B7EF767814F ^ (m + k + n) as u64);
+    // Scatter the special values over both operands, including a
+    // `−0.0 · x` product that is the only term of some chains.
+    let (a_len, b_len) = (a.len(), b.len());
+    for (i, &v) in poison.iter().enumerate() {
+        a[(i * 7919) % a_len] = v;
+        b[(i * 104_729 + 3) % b_len] = v;
+    }
+    let mut want = vec![0.0f32; m * n];
+    matmul_naive(&a, &b, &mut want, m, k, n);
+    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+    let (mut a_t, mut b_t) = (Vec::new(), Vec::new());
+    transpose_into(&a, m, k, &mut a_t);
+    transpose_into(&b, k, n, &mut b_t);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for scalar in [false, true] {
+        set_force_scalar(scalar);
+        for threads in [1usize, 2, 3] {
+            let what = format!("{m}x{k}x{n}, threads={threads}, force_scalar={scalar}");
+            let mut got = vec![f32::NAN; m * n];
+            gemm(&a, &b, &mut got, m, k, n, threads);
+            assert_eq!(bits(&got), want, "gemm diverged from naive at {what}");
+            let mut got = vec![f32::NAN; m * n];
+            gemm_nt(&a, &b_t, &mut got, m, k, n, threads);
+            assert_eq!(bits(&got), want, "gemm_nt diverged from naive at {what}");
+            let mut got = vec![f32::NAN; m * n];
+            gemm_tn(&a_t, &b, &mut got, m, k, n, threads);
+            assert_eq!(bits(&got), want, "gemm_tn diverged from naive at {what}");
+        }
+    }
+    set_force_scalar(false);
+}
+
+#[test]
+fn skinny_products_match_naive_bitwise() {
+    // m < MR runs the unpacked reference loop; k crosses the KC=256 block
+    // boundary and n leaves NR=16 tails, which the packed path would block.
+    for m in [1usize, 2, 3] {
+        for &(k, n) in &[(1, 1), (7, 5), (256, 128), (300, 37), (513, 17)] {
+            check_transposed(m, k, n, &[]);
+        }
+    }
+}
+
+#[test]
+fn transposed_operands_match_naive_bitwise() {
+    // Packed from the stored transpose: MR/NR tails, a KC crossing, and
+    // two shapes above PAR_THRESHOLD so threads ≥ 2 run the pooled path.
+    for &(m, k, n) in &[(4, 5, 16), (5, 9, 17), (27, 300, 33), (16, 1600, 144), (144, 1600, 16)] {
+        check_transposed(m, k, n, &[]);
+    }
+    const { assert!(16 * 1600 * 144 >= PAR_THRESHOLD) }
+}
+
+#[test]
+fn non_finite_and_signed_zero_operands_match_naive_bitwise() {
+    let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, -0.0];
+    for &(m, k, n) in &[(1, 9, 20), (2, 300, 3), (3, 4, 17), (7, 260, 19), (16, 1600, 144)] {
+        check_transposed(m, k, n, &poison);
+    }
+    // A chain whose only term is `−0.0 · x`: fma(−0, x, +0) = +0 on every
+    // path, never the naive-looking −0.
+    let a = [-0.0f32];
+    let b = [1.0f32, 2.0];
+    for threads in [1, 2] {
+        let mut out = [f32::NAN; 2];
+        gemm(&a, &b, &mut out, 1, 1, 2, threads);
+        assert_eq!(out.map(f32::to_bits), [0.0f32.to_bits(); 2]);
+    }
 }

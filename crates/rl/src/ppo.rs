@@ -150,7 +150,7 @@ pub fn compute_ppo_grads(
     let new_logp = g.scale(mean_w, w as f32); // row sums
 
     // Probability ratio ζ and the clipped surrogate (Eqn 12).
-    let old = g.leaf(Tensor::from_vec(&[b, 1], old_logp.clone()));
+    let old = g.leaf(Tensor::from_slice(&[b, 1], &old_logp));
     let diff = g.sub(new_logp, old);
     let ratio = g.exp(diff);
     let adv_node = g.leaf(Tensor::from_vec(&[b, 1], adv));
@@ -213,6 +213,7 @@ pub fn compute_ppo_grads(
         })
         .sum::<f32>()
         / b as f32;
+    vc_nn::arena::put_f32(old_logp);
 
     PpoStats {
         policy_objective: g.value(objective).item(),
